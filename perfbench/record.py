@@ -3,16 +3,18 @@
 Run from the root of a checkout after a change that is meant to alter the
 artefact bytes (a change that is not must leave the file untouched)::
 
-    python3 perfbench/record.py --all [--workload NAME ...] [--jobs 2]
+    python3 perfbench/record.py [--workload NAME ...]
 
-Each input set is replayed once, untraced, by ``batch.py``.  Without
-``--all`` only input sets that have no digest yet are replayed.
+Each input set of the selected workloads (default: all) is replayed once,
+untraced, by ``batch.py``, one batch per CPU at a time; the digests are
+deterministic, so running batches side by side only saves time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -24,28 +26,23 @@ HERE = Path(__file__).resolve().parent
 #: Ignored by git; ``run.py`` writes its batches here too.
 OUT = HERE.parent / ".perfbench_out"
 DIGESTS = HERE / "digests.json"
+#: Batches replayed at once.
+JOBS = os.cpu_count() or 1
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="*", choices=sorted(WORKLOADS), default=None)
-    parser.add_argument("--jobs", type=int, default=1, help="batches run at once")
-    parser.add_argument("--all", action="store_true", help="re-record digests already recorded")
     args = parser.parse_args()
     names = args.workload or sorted(WORKLOADS)
     digests = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    todo = [
-        (name, index)
-        for name in names
-        for index in range(WORKLOADS[name].input_sets)
-        if str(index) not in digests.get(name, {}) or args.all
-    ]
+    todo = [(name, index) for name in names for index in range(WORKLOADS[name].input_sets)]
     OUT.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=OUT) as scratch:
         running: list[tuple[str, int, Path, subprocess.Popen]] = []
         fresh: dict[str, dict[str, str]] = {name: {} for name in names}
         while todo or running:
-            while todo and len(running) < max(1, args.jobs):
+            while todo and len(running) < JOBS:
                 name, index = todo.pop(0)
                 out = Path(scratch) / f"{name}-{index}"
                 command = [
@@ -63,8 +60,7 @@ def main() -> int:
             report = json.loads(Path(f"{out}.json").read_text())
             fresh[name][str(index)] = report["digest"]
             print(f"{name} {index} {report['digest']}", flush=True)
-    for name, recorded in fresh.items():
-        digests.setdefault(name, {}).update(recorded)
+    digests.update(fresh)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -5,8 +5,11 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload fleet_mixed --seed 0 --seconds 50 --trace 0
 
 Each run starts cold batches of one workload (``workloads.py``), one fresh
-interpreter after another, until ``--seconds`` have passed.  Every batch
-is a closed loop with one caller and no worker processes (``jobs=1``).
+interpreter after another.  How many is fixed by ``--seconds`` and the
+workload's nominal batch time, so a run measures about ``--seconds`` on
+the machine the benchmark was tuned on, and a faster or slower program
+replays the same batches.  Every batch is a closed loop with one caller
+and no worker processes (``jobs=1``).
 
 ``--trace 0`` reports the end-to-end metrics:
 
@@ -19,15 +22,16 @@ is a closed loop with one caller and no worker processes (``jobs=1``).
 * ``setup_s`` — process start until the first session can run;
 * ``peak_rss_mb`` — peak resident set of the batch process.
 
-``--trace 1`` alternates traced and untraced batches of one input set and
-reports the per-layer metrics of the traced ones (``tracer.py``): exact
-call counts, self time per layer, their ratios, and ``trace.overhead``.
+``--trace 1`` runs as many batches (at least two), all of one input set,
+traced and untraced in turn, and reports the per-layer metrics of the
+traced ones (``tracer.py``): exact call counts, self time per layer, their ratios, and ``trace.overhead``.
 
 Every batch passes the correctness gate: every expected (cell, scheme,
 trace) session folded, the artefact hashes to the digest recorded in
 ``digests.json`` for its input set (so a traced artefact is byte-identical
 to an untraced one), and the paper-level outputs are in it.  A batch that
-fails the gate counts its sessions as failed.
+fails the gate counts its sessions as failed, and so does a batch that
+cannot finish within ``RUN_LIMIT_S`` of the run's start.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.
@@ -47,7 +51,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".perfbench_out"
-#: No batch may still run this long after the run started.
+#: No batch may still run this long after the run started; the batches
+#: still to come then count as failed.
 RUN_LIMIT_S = 170.0
 
 sys.path.insert(0, str(ROOT / "src"))
@@ -208,33 +213,35 @@ def main() -> int:
     digests = json.loads((HERE / "digests.json").read_text()).get(workload.name, {})
 
     shutil.rmtree(OUT / workload.name, ignore_errors=True)
-    started = time.perf_counter()
-    deadline = started + RUN_LIMIT_S
-    modes = (True, False) if args.trace else (False,)
+    deadline = time.perf_counter() + RUN_LIMIT_S
+    n_batches = workload.batches(args.seconds)
+    if args.trace:
+        n_batches = max(2, n_batches)
+    # A traced run keeps one input set, so its batches' counts compare.
+    plan = [
+        (workload.input_set(args.seed, 0 if args.trace else index),
+         bool(args.trace) and index % 2 == 0)
+        for index in range(n_batches)
+    ]
+    counts = {input_set: session_count(workload, input_set) for input_set, _ in plan}
+    attempted = sum(counts[input_set] for input_set, _ in plan)
     untraced: list[dict] = []
     traced: list[dict] = []
-    attempted = failed = 0
+    failed = 0
     problems: list[str] = []
-    index = 0
-    while index < len(modes) or (
-        time.perf_counter() - started < args.seconds and time.perf_counter() < deadline
-    ):
-        is_traced = modes[index % len(modes)]
-        # A traced run keeps one input set, so its batches' counts compare.
-        input_set = workload.input_set(args.seed, 0 if args.trace else index)
-        expected = session_count(workload, input_set)
+    for index, (input_set, is_traced) in enumerate(plan):
+        expected = counts[input_set]
         report = run_one_batch(workload.name, input_set, is_traced, index, deadline)
-        index += 1
-        attempted += expected
         found = gate(report, expected, digests.get(str(input_set)))
         if found:
             failed += expected
             problems.extend(found)
             if "error" in report:
+                failed += sum(counts[later] for later, _ in plan[index + 1:])
                 break
             continue
         (traced if is_traced else untraced).append(report)
-        print(f"batch {index - 1} ({'traced' if is_traced else 'untraced'}, "
+        print(f"batch {index} ({'traced' if is_traced else 'untraced'}, "
               f"input set {input_set}): {report['folded']} sessions in "
               f"{report['timed_s']:.3f} s, setup {report['setup_s']:.3f} s")
 
