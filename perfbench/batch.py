@@ -11,8 +11,13 @@ writes to ``--result``.  A batch is what one CLI caller pays for
   journal clean-up — runs from ``ready`` to ``end``.
 
 Every shard-journal append is time-stamped; the gaps between consecutive
-appends are the per-session replay times.  With ``--trace 1`` the public
-layer calls are wrapped by :class:`tracer.Tracer` before set-up starts.
+appends are the per-session replay times.  A :class:`speed.SpeedProbe`
+runs from before the program is imported and reports the core's speed, so
+``run.py`` can count an untraced batch's seconds at nominal machine speed;
+every time is taken on the probe's clock, which leaves out the probes' own
+time, spans included.  With ``--trace 1`` the public layer calls are
+wrapped by :class:`tracer.Tracer` once the program is imported, before the
+rest of set-up starts.
 """
 
 from __future__ import annotations
@@ -22,12 +27,17 @@ import hashlib
 import json
 import resource
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+from speed import SpeedProbe  # noqa: E402
+
+#: Imports are set-up too, so the probe starts before the program's.
+PROBE = SpeedProbe()
+PROBE.start()
 
 from repro.fleet import DevicePopulation, FleetRunner, write_fleet_results  # noqa: E402
 from repro.scenarios import (  # noqa: E402
@@ -53,7 +63,7 @@ class StampedShardJournal(ShardJournal):
     keys: list[tuple[str, str]] = field(default_factory=list)
 
     def append_shard(self, cell: str, shard: str, payload: dict) -> None:
-        self.stamps.append(time.perf_counter())
+        self.stamps.append(PROBE.now())
         self.keys.append((cell, shard))
         super().append_shard(cell, shard, payload)
 
@@ -79,10 +89,10 @@ def paper_outputs_present(payload: dict, kind: str) -> bool:
 
 def run_batch(workload_name: str, input_set: int, trace: bool, out: Path) -> dict:
     workload = WORKLOADS[workload_name]
-    tracer = Tracer() if trace else None
+    tracer = Tracer(PROBE.now) if trace else None
     if tracer is not None:
         tracer.install()
-    work_start = time.perf_counter()
+    work_start = PROBE.now()
     out.mkdir(parents=True, exist_ok=True)
     artefact = out / "artefact.json"
     catalog = AppCatalog()
@@ -108,7 +118,8 @@ def run_batch(workload_name: str, input_set: int, trace: bool, out: Path) -> dic
         for index in range(spec.n_sessions)
     }
 
-    ready = time.perf_counter()
+    ready = PROBE.now()
+    paused_before_ready = PROBE.paused
     if workload.kind == "matrix":
         journal = MatrixJournal(Path(f"{artefact}.journal"))
         shards = StampedShardJournal(Path(f"{artefact}.shards.journal"))
@@ -123,19 +134,23 @@ def run_batch(workload_name: str, input_set: int, trace: bool, out: Path) -> dic
         ).run(fleet, learner=learner, shards=shards)
         write_fleet_results(result, artefact)
         shards.clear()
-    end = time.perf_counter()
+    end = PROBE.now()
+    PROBE.stop()
 
     data = artefact.read_bytes()
     cell_names = {json.dumps(spec.to_dict(), sort_keys=True): spec.name for spec in specs}
     sessions = [f"{cell_names.get(cell, '?')}/{shard}" for cell, shard in shards.keys]
     folded = set(sessions) & expected
     report = {
-        "ready": ready,
+        # On the perf_counter clock the parent's spawn time is taken on.
+        "ready": ready + paused_before_ready,
+        "paused_before_ready": paused_before_ready,
         "timed_s": end - ready,
-        "work_s": end - work_start,
+        "work_start_s": work_start - ready,
         "expected": len(expected),
         "folded": len(folded) if len(sessions) == len(folded) else 0,
         "stamps_s": [stamp - ready for stamp in shards.stamps],
+        "probes": [(at - ready, took) for at, took in PROBE.samples],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "digest": hashlib.sha256(data).hexdigest(),
         "paper_outputs": paper_outputs_present(json.loads(data), workload.kind),

@@ -19,7 +19,6 @@ duration minus the durations of its child spans.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 
 #: SessionState spans whose self time is also split by the enclosing span
@@ -58,19 +57,19 @@ LAYERS: tuple[Layer, ...] = (
           "reactive_thermal >> pes_matrix; fleet_mixed distinct_ratio ~1 (memo bypass)",
           unchanged="session_ms_* (traces are generated before the first session)"),
     Layer("traces.features", "repro.traces.session_state", "SessionState.features",
-          "replays_per_s; session_ms_p50 on PES workloads", "all"),
+          "replays_per_s; session_ms_mean on PES workloads", "all"),
     Layer("traces.available_events", "repro.traces.session_state",
           "SessionState.available_events",
-          "replays_per_s; session_ms_p50 on PES workloads", "all"),
+          "replays_per_s; session_ms_mean on PES workloads", "all"),
     Layer("traces.apply_event", "repro.traces.session_state", "SessionState.apply_event",
-          "replays_per_s; session_ms_p50 on PES workloads", "all"),
+          "replays_per_s; session_ms_mean on PES workloads", "all"),
     Layer("traces.clone", "repro.traces.session_state", "SessionState.clone",
-          "replays_per_s; session_ms_p50 on PES workloads",
+          "replays_per_s; session_ms_mean on PES workloads",
           "pes_matrix, fleet_mixed (predictor roll-forward only)", ("reactive_thermal",)),
     Layer("webapp.build_dom", "repro.webapp.apps", "AppProfile.build_dom",
           "replays_per_s", "all"),
     Layer("core.predictor.predict_sequence", "repro.core.predictor.hybrid",
-          "HybridEventPredictor.predict_sequence", "session_ms_p50, replays_per_s",
+          "HybridEventPredictor.predict_sequence", "session_ms_mean, replays_per_s",
           "pes_matrix, fleet_mixed", ("reactive_thermal",)),
     Layer("core.optimizer.build_specs", "repro.core.optimizer.optimizer",
           "GlobalOptimizer.build_specs", "session_ms_p90 first, then replays_per_s",
@@ -83,11 +82,11 @@ LAYERS: tuple[Layer, ...] = (
     Layer("schedulers.enumerate_options", "repro.schedulers.base", "enumerate_options",
           "replays_per_s", "reactive_thermal"),
     Layer("hardware.thermal_advance", "repro.hardware.thermal", "ThermalState.advance",
-          "session_ms_p50", "reactive_thermal, fleet_mixed", ("pes_matrix",)),
+          "session_ms_mean", "reactive_thermal, fleet_mixed", ("pes_matrix",)),
     Layer("runtime.engine.reactive", "repro.runtime.engine", "ReactiveEngine.run",
-          "session_ms_p50", "all"),
+          "session_ms_mean", "all"),
     Layer("runtime.engine.proactive", "repro.runtime.engine", "ProactiveEngine.run",
-          "session_ms_p50", "pes_matrix, fleet_mixed", ("reactive_thermal",)),
+          "session_ms_mean", "pes_matrix, fleet_mixed", ("reactive_thermal",)),
     Layer("faults.session", "repro.faults.injector", "FaultInjector.session",
           "replays_per_s", "fleet_mixed only", ("pes_matrix", "reactive_thermal")),
     Layer("faults.transform", "repro.faults.injector", "SessionFaultState.transform",
@@ -146,7 +145,10 @@ EXACT_METRICS = tuple(
 class Tracer:
     """Records spans around the wrapped calls; see the module docstring."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock) -> None:
+        #: Span times are read from it: the probe's clock, which leaves out
+        #: the probes' own time (``speed.py``).
+        self.clock = clock
         self._ids: dict[str, int] = {}
         #: ``[name id, start, end, parent span index, session index]``.
         self.spans: list[list] = []
@@ -165,7 +167,7 @@ class Tracer:
         name_id = self._ids.setdefault(name, len(self._ids))
         spans = self.spans
         stack = self._stack
-        clock = time.perf_counter
+        clock = self.clock
 
         def wrapper(*args, **kwargs):
             if before is not None:

@@ -12,9 +12,10 @@ number fixed by the run length alone, never by how fast the program is; its
 ``(s + j % inputs_per_run) % input_sets``:
 
 * ``reactive_thermal`` replays one input in every batch.  Its cost barely
-  depends on the input, so most of the run-to-run noise is interference
-  from other tenants of the machine, which ``run.py`` removes by taking
-  each segment of the timed region at its fastest across the batches.
+  depends on the input, so most of its run-to-run noise is the machine's
+  changing speed, which ``run.py`` takes out by counting nominal seconds
+  (``speed.py``) and taking each segment of the timed region at its median
+  over the batches.
 * ``pes_matrix`` and ``fleet_mixed`` give each of a run's four batches its
   own input.  A dozen branch-and-bound-heavy PES sessions, or the few PES
   devices on a bursty tegra_parker, carry much of their time, and which
@@ -111,7 +112,7 @@ WORKLOADS: dict[str, Workload] = {
             default_seed=0,
             held_out_seed=27,
             inputs_per_run=1,
-            batch_s=4.0,
+            batch_s=6.0,
             input_sets=32,
         ),
         Workload(
@@ -128,7 +129,7 @@ WORKLOADS: dict[str, Workload] = {
             default_seed=0,
             held_out_seed=29,
             inputs_per_run=4,
-            batch_s=12.5,
+            batch_s=15.0,
             input_sets=64,
         ),
     )
