@@ -5,12 +5,18 @@ The expensive artefacts — the trained predictor, the evaluation trace set,
 and the replay of every trace under every scheduling scheme — are computed
 once per session here and shared; the ``benchmark`` fixture in each module
 then measures the per-figure analysis step and the module writes the
-regenerated rows/series to ``results/``.
+regenerated rows/series through the ``write_result`` fixture.
+
+A plain test run never rewrites tracked files: ``write_result`` writes into
+a pytest temp dir.  To refresh the committed ``results/*.txt`` run::
+
+    PYTHONPATH=src python -m pytest benchmarks --regenerate-results
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -27,12 +33,26 @@ TRAIN_TRACES_PER_APP = 8
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
-def write_result(name: str, content: str) -> Path:
-    """Persist a regenerated figure/table under ``results/``."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / name
-    path.write_text(content + "\n")
-    return path
+@pytest.fixture(scope="session")
+def write_result(request, tmp_path_factory) -> Callable[[str, str], Path]:
+    """Persist a regenerated figure/table.
+
+    Writes under ``results/`` only with ``--regenerate-results``; otherwise
+    into a session temp dir, so the content is still produced (and any
+    error in producing it still fails the test) without touching the tree.
+    """
+    if request.config.getoption("--regenerate-results"):
+        directory = RESULTS_DIR
+        directory.mkdir(exist_ok=True)
+    else:
+        directory = tmp_path_factory.mktemp("results")
+
+    def write(name: str, content: str) -> Path:
+        path = directory / name
+        path.write_text(content + "\n")
+        return path
+
+    return write
 
 
 @pytest.fixture(scope="session")

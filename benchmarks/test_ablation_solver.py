@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.optimizer.ilp import BranchAndBoundSolver, DynamicProgrammingSolver
 from repro.core.optimizer.optimizer import ArrivalEstimator, GlobalOptimizer, WorkloadEstimator
@@ -44,7 +43,7 @@ def build_windows(setup, catalog):
     return windows
 
 
-def test_ablation_exact_vs_dp_solver(benchmark, setup, catalog):
+def test_ablation_exact_vs_dp_solver(benchmark, setup, catalog, write_result):
     windows = build_windows(setup, catalog)
     exact = BranchAndBoundSolver()
     dp = DynamicProgrammingSolver(bucket_ms=2.0)

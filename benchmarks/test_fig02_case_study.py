@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.hardware.dvfs import DvfsModel
 from repro.schedulers.ebs import EbsScheduler
@@ -52,7 +51,7 @@ def run_all(simulator, trace, learner):
     return results
 
 
-def test_fig02_case_study(benchmark, simulator, learner, trace):
+def test_fig02_case_study(benchmark, simulator, learner, trace, write_result):
     results = benchmark.pedantic(run_all, args=(simulator, trace, learner), rounds=1, iterations=1)
 
     rows = []

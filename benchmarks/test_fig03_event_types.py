@@ -8,7 +8,6 @@ provisioned due to interference), and Type IV (benign).
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
 from repro.analysis.event_types import EventCategory, category_distribution, classify_events
 from repro.analysis.reporting import format_table
 from repro.schedulers.ebs import EbsScheduler
@@ -28,7 +27,7 @@ def classify_all(simulator, setup, traces):
     return per_app, counts
 
 
-def test_fig03_event_type_distribution(benchmark, simulator, setup, evaluation_traces):
+def test_fig03_event_type_distribution(benchmark, simulator, setup, evaluation_traces, write_result):
     per_app, counts = benchmark.pedantic(
         classify_all, args=(simulator, setup, evaluation_traces), rounds=1, iterations=1
     )

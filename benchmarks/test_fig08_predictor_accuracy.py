@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.predictor.training import evaluate_accuracy
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
@@ -20,7 +19,7 @@ def evaluate(learner, evaluation_traces, catalog):
     return evaluate_accuracy(learner, evaluation_traces, catalog, use_dom_analysis=True)
 
 
-def test_fig08_predictor_accuracy(benchmark, learner, evaluation_traces, catalog):
+def test_fig08_predictor_accuracy(benchmark, learner, evaluation_traces, catalog, write_result):
     accuracy = benchmark.pedantic(
         evaluate, args=(learner, evaluation_traces, catalog), rounds=1, iterations=1
     )

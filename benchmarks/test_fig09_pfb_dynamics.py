@@ -7,15 +7,13 @@ it to zero, and a new prediction round refills it.
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
-
 
 def run_ebay(simulator, generator, learner):
     trace = generator.generate("ebay", seed=910_000)
     return simulator.run_pes(trace, learner), trace
 
 
-def test_fig09_pfb_dynamics(benchmark, simulator, generator, learner):
+def test_fig09_pfb_dynamics(benchmark, simulator, generator, learner, write_result):
     result, trace = benchmark.pedantic(
         run_ebay, args=(simulator, generator, learner), rounds=1, iterations=1
     )

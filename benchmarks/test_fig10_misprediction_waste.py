@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
 
@@ -30,7 +29,7 @@ def collect(scheme_results):
     return per_app
 
 
-def test_fig10_misprediction_waste(benchmark, scheme_results):
+def test_fig10_misprediction_waste(benchmark, scheme_results, write_result):
     per_app = benchmark.pedantic(collect, args=(scheme_results,), rounds=1, iterations=1)
 
     rows = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.runtime.simulator import Simulator
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
@@ -25,7 +24,7 @@ def normalise(scheme_results):
     )
 
 
-def test_fig11_normalised_energy(benchmark, scheme_results):
+def test_fig11_normalised_energy(benchmark, scheme_results, write_result):
     normalised = benchmark.pedantic(normalise, args=(scheme_results,), rounds=1, iterations=1)
 
     rows = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.runtime.metrics import aggregate_results
 from repro.webapp.apps import SEEN_APPS, UNSEEN_APPS
@@ -30,7 +29,7 @@ def violation_by_app(scheme_results):
     return table
 
 
-def test_fig12_qos_violation(benchmark, scheme_results):
+def test_fig12_qos_violation(benchmark, scheme_results, write_result):
     violations = benchmark.pedantic(violation_by_app, args=(scheme_results,), rounds=1, iterations=1)
 
     rows = []

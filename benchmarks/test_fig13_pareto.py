@@ -8,7 +8,6 @@ frontier together with (only) the oracle.
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
 from repro.analysis.pareto import dominates, non_dominated_schemes, points_from_metrics
 from repro.analysis.reporting import format_table
 from repro.runtime.metrics import aggregate_results
@@ -21,7 +20,7 @@ def build_points(scheme_results):
     return {p.scheme: p for p in points_from_metrics(metrics, baseline="Interactive")}
 
 
-def test_fig13_pareto(benchmark, scheme_results):
+def test_fig13_pareto(benchmark, scheme_results, write_result):
     points = benchmark.pedantic(build_points, args=(scheme_results,), rounds=1, iterations=1)
 
     rows = [

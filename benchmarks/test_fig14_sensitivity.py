@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.analysis.sensitivity import sweep_confidence_threshold
 
@@ -24,7 +23,7 @@ def run_sweep(simulator, learner, evaluation_traces):
     return sweep_confidence_threshold(simulator, learner, traces, THRESHOLDS)
 
 
-def test_fig14_confidence_threshold_sensitivity(benchmark, simulator, learner, evaluation_traces):
+def test_fig14_confidence_threshold_sensitivity(benchmark, simulator, learner, evaluation_traces, write_result):
     sweep = benchmark.pedantic(
         run_sweep, args=(simulator, learner, evaluation_traces), rounds=1, iterations=1
     )

@@ -11,7 +11,6 @@ prediction and solver paths directly.
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
 from repro.core.optimizer.optimizer import ArrivalEstimator, GlobalOptimizer, WorkloadEstimator
 from repro.core.predictor.dom_analysis import DomAnalyzer
 from repro.core.predictor.sequence_learner import PredictedEvent
@@ -47,7 +46,7 @@ def test_sec63_full_prediction_step_overhead(benchmark, learner, catalog):
     assert benchmark.stats.stats.mean < 0.05  # < 50 ms
 
 
-def test_sec63_ilp_solver_overhead(benchmark, setup, catalog):
+def test_sec63_ilp_solver_overhead(benchmark, setup, catalog, write_result):
     """Solving a typical speculative window (five predicted events)."""
     optimizer = GlobalOptimizer(
         system=setup.system,

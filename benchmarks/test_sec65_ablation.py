@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.pes import PesConfig
 from repro.core.predictor.training import evaluate_accuracy
@@ -33,7 +32,7 @@ def run_ablation(simulator, learner, catalog, evaluation_traces):
     return accuracy_with, accuracy_without, aggregate_results(with_dom), aggregate_results(without_dom)
 
 
-def test_sec65_dom_analysis_ablation(benchmark, simulator, learner, catalog, evaluation_traces):
+def test_sec65_dom_analysis_ablation(benchmark, simulator, learner, catalog, evaluation_traces, write_result):
     accuracy_with, accuracy_without, metrics_with, metrics_without = benchmark.pedantic(
         run_ablation, args=(simulator, learner, catalog, evaluation_traces), rounds=1, iterations=1
     )

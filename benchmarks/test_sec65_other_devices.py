@@ -9,7 +9,6 @@ demonstrating that the improvements are not tied to the (older) Exynos
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.hardware.platforms import tegra_parker
 from repro.runtime.metrics import aggregate_results
@@ -26,7 +25,7 @@ def run_on_parker(catalog, evaluation_traces, learner):
     return {scheme: aggregate_results(res) for scheme, res in results.items()}
 
 
-def test_sec65_other_devices(benchmark, catalog, evaluation_traces, learner):
+def test_sec65_other_devices(benchmark, catalog, evaluation_traces, learner, write_result):
     metrics = benchmark.pedantic(
         run_on_parker, args=(catalog, evaluation_traces, learner), rounds=1, iterations=1
     )

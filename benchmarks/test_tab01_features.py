@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import write_result
 from repro.analysis.reporting import format_table
 from repro.core.predictor.training import PredictorTrainer
 from repro.traces.session_state import FEATURE_NAMES
@@ -29,7 +28,7 @@ def build_dataset(catalog, training_traces):
     return trainer.build_dataset(training_traces)
 
 
-def test_tab01_model_features(benchmark, catalog, training_traces, learner):
+def test_tab01_model_features(benchmark, catalog, training_traces, learner, write_result):
     features, labels = benchmark.pedantic(
         build_dataset, args=(catalog, training_traces), rounds=1, iterations=1
     )

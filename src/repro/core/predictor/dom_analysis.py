@@ -8,9 +8,11 @@ next event *out of* the LNES, which tightens the prediction space.
 To predict several events ahead, the analyser must know the DOM state
 *after* each hypothetical event without evaluating its JavaScript callback.
 It does so by consulting the Semantic Tree (built on the Accessibility
-Tree), which memoises each callback's declarative effect; rolling a cloned
-session state forward through the memoised effects yields the post-event
-LNES statically (Sec. 5.2 / 5.5).
+Tree), which memoises each callback's declarative effect.  Rolling a clone
+of the session state forward through the memoised effects yields the
+post-event LNES statically (Sec. 5.2 / 5.5).  The clone shares the read-only
+DOM document and holds only its own overlay (viewport and display
+overrides), so each hypothetical step costs O(overrides), not O(nodes).
 """
 
 from __future__ import annotations

@@ -298,36 +298,36 @@ class ScenarioRunner:
             else:
                 shards.clear()
         if journal is not None:
-            if resume:
-                # A resume that resumes nothing is usually a mistake — a
-                # mistyped --out, a journal cleared by a completed run, or a
-                # matrix edited since the crash.  The run itself is still
-                # correct (every cell replays), so warn rather than fail.
-                if not journal.path.exists():
-                    warnings.warn(
-                        f"--resume requested but no journal exists at "
-                        f"{journal.path}; running every scenario from scratch",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    # Truncate any torn tail *before* reading completed
-                    # cells, so the appends this resumed run makes can
-                    # never concatenate onto a half-written last line.
-                    journal.open_for_resume()
-                    completed = journal.completed_results(spec_list)
-                    if not completed:
-                        warnings.warn(
-                            f"--resume requested but the journal at "
-                            f"{journal.path} matches none of the "
-                            f"{len(spec_list)} scenario spec(s) — the matrix "
-                            f"changed since it was written; running every "
-                            f"scenario from scratch",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-            else:
+            if not resume:
                 journal.clear()
+            elif journal.path.exists():
+                # Truncate any torn tail *before* reading completed cells,
+                # so the appends this resumed run makes can never
+                # concatenate onto a half-written last line.
+                journal.open_for_resume()
+                completed = journal.completed_results(spec_list)
+            # A resume that resumes nothing is usually a mistake — a
+            # mistyped --out, a journal cleared by a completed run, or a
+            # matrix edited since the crash.  The run itself is still
+            # correct (every cell replays), so warn rather than fail; but
+            # sessions restored from the shard journal of a mid-cell crash
+            # are a real resume, not a run from scratch.
+            if resume and not completed and not any(
+                shard_map.get(_spec_key(spec.to_dict())) for spec in spec_list
+            ):
+                if not journal.path.exists():
+                    reason = f"no journal exists at {journal.path}"
+                else:
+                    reason = (
+                        f"the journal at {journal.path} matches none of the "
+                        f"{len(spec_list)} scenario spec(s) — the matrix "
+                        f"changed since it was written"
+                    )
+                warnings.warn(
+                    f"--resume requested but {reason}; running every scenario from scratch",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         todo = [spec for spec in spec_list if spec.name not in completed]
         fresh: dict[str, ScenarioResult] = {}
         if todo:

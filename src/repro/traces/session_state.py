@@ -5,7 +5,10 @@ predictor (which observes it) need the same view of an ongoing session:
 
 * the current DOM tree, updated by applying each event's Semantic-Tree
   effect (scrolls move the viewport, menu toggles reveal nodes, navigations
-  load a fresh document), and
+  load a fresh document).  Documents are built once per
+  ``(profile, doc_index)`` and shared read-only by every session; a session
+  owns only its overlay (viewport and display overrides, see
+  :mod:`repro.webapp.dom`), and
 * a sliding window over the five most recent events, from which the
   interaction-dependent features of Table 1 are computed.
 
@@ -16,6 +19,7 @@ substrate depending on the core library.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,6 +64,24 @@ def document_rng(profile: AppProfile, doc_index: int) -> np.random.Generator:
     return np.random.default_rng(stable_seed(profile.name, doc_index))
 
 
+@functools.lru_cache(maxsize=1024)
+def _built_document(profile: AppProfile, doc_index: int) -> tuple[DomTree, SemanticTree]:
+    # Keyed on the true inputs: ``build_dom`` is a pure function of
+    # ``document_rng(profile, doc_index)``, and ``AppProfile`` is frozen.
+    return profile.build_dom(document_rng(profile, doc_index))
+
+
+def shared_document(profile: AppProfile, doc_index: int) -> tuple[DomTree, SemanticTree]:
+    """A fresh overlay on the ``doc_index``-th document of ``profile``.
+
+    The document is built once and shared read-only: every caller gets its
+    own :class:`DomTree` overlay on the same nodes, plus the shared
+    Semantic Tree.
+    """
+    tree, semantic = _built_document(profile, doc_index)
+    return tree.clone(), semantic
+
+
 @dataclass
 class SessionState:
     """Evolving DOM + recent-event window for one interaction session."""
@@ -73,8 +95,8 @@ class SessionState:
 
     @classmethod
     def fresh(cls, profile: AppProfile) -> "SessionState":
-        """Start a new session on a freshly generated document."""
-        dom, semantic = profile.build_dom(document_rng(profile, 0))
+        """Start a new session on the application's first document."""
+        dom, semantic = shared_document(profile, 0)
         return cls(profile=profile, dom=dom, semantic=semantic, doc_index=0)
 
     # -- features (Table 1) --------------------------------------------------
@@ -134,9 +156,9 @@ class SessionState:
         did_navigate = effect.navigates if navigates is None else navigates
 
         if event_type is EventType.LOAD:
-            # The load event of the new document rebuilds the DOM.
+            # The load event of the new document switches to its shared DOM.
             self.doc_index += 1
-            self.dom, self.semantic = self.profile.build_dom(document_rng(self.profile, self.doc_index))
+            self.dom, self.semantic = shared_document(self.profile, self.doc_index)
             self.last_navigated = False
         elif did_navigate:
             # A navigating tap tears down the document; only the subsequent
@@ -152,24 +174,23 @@ class SessionState:
     def reset_document(self) -> None:
         """Force a fresh document (used at session start)."""
         self.doc_index = 0
-        self.dom, self.semantic = self.profile.build_dom(document_rng(self.profile, 0))
+        self.dom, self.semantic = shared_document(self.profile, 0)
         self.last_navigated = False
         self.history.clear()
 
     def clone(self) -> "SessionState":
         """Structured copy used for hypothetical roll-forward during prediction.
 
-        Hand-rolled instead of ``copy.deepcopy`` (which was the single
-        largest predictor-side cost): the immutable pieces — the frozen
-        :class:`AppProfile`, the frozen ``CallbackEffect`` values, and the
-        frozen ``ObservedEvent`` history entries — are shared, while the
-        mutable DOM tree is cloned node by node and the Semantic-Tree
-        mapping and history window get fresh containers.
+        Everything read-only is shared: the frozen :class:`AppProfile`, the
+        DOM document and its Semantic Tree, and the frozen ``ObservedEvent``
+        history entries.  Only the DOM overlay (viewport and display
+        overrides) and the history window get fresh containers, so a clone
+        costs O(overrides), not O(nodes).
         """
         return SessionState(
             profile=self.profile,
             dom=self.dom.clone(),
-            semantic=SemanticTree(effects=dict(self.semantic.effects)),
+            semantic=self.semantic,
             doc_index=self.doc_index,
             history=deque(self.history, maxlen=FEATURE_WINDOW),
             last_navigated=self.last_navigated,

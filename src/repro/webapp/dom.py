@@ -1,10 +1,18 @@
-"""DOM tree model with event listeners and viewport visibility.
+"""DOM documents with event listeners, shared read-only behind per-session overlays.
 
 The predictor's program analysis (Sec. 5.2) walks the part of the DOM tree
 that is inside the current viewport and collects the events registered on
 visible nodes — the Likely-Next-Event-Set (LNES).  The model here captures
 exactly what that analysis needs: a tree of nodes, each with a bounding box,
-a set of registered event listeners, and a visibility style.
+a set of registered event listeners, and a base display style.
+
+**Shared-document contract.**  A document's nodes are read-only once they
+are wrapped in a :class:`DomTree` (``AppProfile.build_dom`` returns them that
+way).  Everything a session changes lives in the tree's *overlay*: its own
+viewport and a map from node id to display override.  Any number of
+sessions and speculative clones can therefore share one document, and
+cloning a tree copies only its overlay.  Node ids are unique within a
+document.
 """
 
 from __future__ import annotations
@@ -50,13 +58,15 @@ class Viewport:
         return self.width * self.height
 
 
-@dataclass
+@dataclass(slots=True)
 class DomNode:
-    """One element of the DOM tree.
+    """One element of a DOM document.
 
     Geometry is simplified to a vertical extent (``y``/``height``) plus a
     width, which is all the viewport-intersection analysis needs, and an
-    ``area`` for the clickable-region feature.
+    ``area`` for the clickable-region feature.  ``display`` is the node's
+    *base* style in the document; a session's display changes live in its
+    :class:`DomTree` overlay.
     """
 
     tag: str
@@ -88,19 +98,6 @@ class DomNode:
         return self.width * self.height
 
     @property
-    def is_displayed(self) -> bool:
-        """Whether this node (and all ancestors) have a non-``none`` display."""
-        node: DomNode | None = self
-        while node is not None:
-            if node.display == "none":
-                return False
-            node = node.parent
-        return True
-
-    def is_visible(self, viewport: Viewport) -> bool:
-        return self.is_displayed and viewport.intersects(self.y, self.height)
-
-    @property
     def is_clickable(self) -> bool:
         return bool(self.listeners & {EventType.CLICK, EventType.TOUCHSTART, EventType.SUBMIT})
 
@@ -110,48 +107,74 @@ class DomNode:
         for child in self.children:
             yield from child.walk()
 
-    def clone(self) -> "DomNode":
-        """Structured deep copy of the subtree rooted at this node.
 
-        Hand-rolled instead of ``copy.deepcopy`` because cloning sits on the
-        prediction hot path (one clone per hypothetical roll-forward step).
-        The copy owns its listener set and children list; the parent pointer
-        of the returned root is left unset.
-        """
-        copied = DomNode(
-            tag=self.tag,
-            node_id=self.node_id,
-            y=self.y,
-            height=self.height,
-            width=self.width,
-            display=self.display,
-            listeners=set(self.listeners),
-            is_link=self.is_link,
-        )
-        for child in self.children:
-            copied.append_child(child.clone())
-        return copied
+@dataclass(frozen=True)
+class VisibilitySummary:
+    """Everything the visibility queries need, from one pass over a document.
 
-    def toggle_display(self) -> None:
-        """Flip between ``block`` and ``none`` (the Fig. 7 collapsible menu)."""
-        self.display = "none" if self.display == "block" else "block"
+    ``nodes`` are the visible nodes in document (pre-order) order, and
+    ``clickable_area`` sums their clickable areas in that order.
+    """
+
+    nodes: tuple[DomNode, ...]
+    clickable_area: float
+    link_count: int
+    listeners: frozenset[EventType]
+
+
+def _displayed(root: DomNode, overrides: dict[str, str]) -> Iterator[DomNode]:
+    """Pre-order walk that prunes ``display: none`` subtrees."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if overrides.get(node.node_id, node.display) != "none":
+            yield node
+            stack.extend(reversed(node.children))
+
+
+def _summarise(root: DomNode, viewport: Viewport, overrides: dict[str, str]) -> VisibilitySummary:
+    # Geometry never prunes: a child's box need not lie inside its parent's.
+    nodes = tuple(n for n in _displayed(root, overrides) if viewport.intersects(n.y, n.height))
+    listeners: set[EventType] = set()
+    for node in nodes:
+        listeners |= node.listeners
+    return VisibilitySummary(
+        nodes=nodes,
+        clickable_area=sum(n.area for n in nodes if n.is_clickable),
+        link_count=sum(1 for n in nodes if n.is_link),
+        listeners=frozenset(listeners),
+    )
+
+
+@dataclass(eq=False)
+class _Document:
+    """The shared, read-only part of a :class:`DomTree`: the nodes plus the
+    memo of visibility passes, keyed by ``(viewport, frozenset(overrides))``.
+    """
+
+    root: DomNode
+    page_height: float | None
+    summaries: dict[tuple, VisibilitySummary] = field(default_factory=dict)
 
 
 class DomTree:
-    """A DOM tree plus the page viewport.
+    """A shared DOM document plus one session's overlay on it.
 
-    Provides the aggregate queries the predictor features (Table 1) and the
-    DOM analysis need: visible-node iteration, clickable-region percentage,
-    visible-link percentage, and the set of events registered on visible
-    nodes.
+    The overlay is the page viewport and a display-override map (node id →
+    display); an override equal to the node's base display is dropped, so
+    equal states have equal overlays.  The aggregate queries the predictor
+    features (Table 1) and the DOM analysis need — visible nodes,
+    clickable-region percentage, visible-link percentage, and the events
+    registered on visible nodes — all read one memoised visibility pass.
     """
 
     _id_counter = itertools.count()
 
     def __init__(self, root: DomNode, viewport: Viewport | None = None, page_height: float | None = None):
-        self.root = root
-        self.viewport = viewport or Viewport()
-        self._page_height = page_height
+        self._document = _Document(root, page_height)
+        self._viewport = viewport or Viewport()
+        self._overrides: dict[str, str] = {}
+        self._summary: VisibilitySummary | None = None
 
     # -- factory helpers ---------------------------------------------------
 
@@ -163,13 +186,29 @@ class DomTree:
 
     # -- traversal ---------------------------------------------------------
 
+    @property
+    def root(self) -> DomNode:
+        return self._document.root
+
+    @property
+    def viewport(self) -> Viewport:
+        return self._viewport
+
     def walk(self) -> Iterator[DomNode]:
         return self.root.walk()
 
+    def visibility(self) -> VisibilitySummary:
+        """The memoised visibility pass for this tree's current overlay."""
+        if self._summary is None:
+            memo = self._document.summaries
+            key = (self._viewport, frozenset(self._overrides.items()))
+            if key not in memo:
+                memo[key] = _summarise(self.root, self._viewport, self._overrides)
+            self._summary = memo[key]
+        return self._summary
+
     def visible_nodes(self) -> Iterator[DomNode]:
-        for node in self.walk():
-            if node.is_visible(self.viewport):
-                yield node
+        return iter(self.visibility().nodes)
 
     def find(self, node_id: str) -> DomNode:
         for node in self.walk():
@@ -180,43 +219,66 @@ class DomTree:
     def find_all(self, predicate: Callable[[DomNode], bool]) -> list[DomNode]:
         return [node for node in self.walk() if predicate(node)]
 
+    def display_of(self, node_id: str) -> str:
+        """The node's own display in this tree (overlay over base style)."""
+        return self._overrides.get(node_id, self.find(node_id).display)
+
+    def is_displayed(self, node_id: str) -> bool:
+        """Whether the node and all its ancestors have a non-``none`` display."""
+        target = self.find(node_id)
+        return any(node is target for node in _displayed(self.root, self._overrides))
+
     # -- aggregate features (Table 1, application-inherent) -----------------
 
     def clickable_region_fraction(self) -> float:
         """Fraction of the viewport area covered by visible clickable nodes."""
-        clickable_area = sum(n.area for n in self.visible_nodes() if n.is_clickable)
-        return min(1.0, clickable_area / self.viewport.area)
+        return min(1.0, self.visibility().clickable_area / self.viewport.area)
 
     def visible_link_fraction(self) -> float:
         """Fraction of visible nodes that are hyperlinks."""
-        visible = list(self.visible_nodes())
-        if not visible:
+        summary = self.visibility()
+        if not summary.nodes:
             return 0.0
-        return sum(1 for n in visible if n.is_link) / len(visible)
+        return summary.link_count / len(summary.nodes)
 
     def visible_event_types(self) -> set[EventType]:
         """Events registered on nodes inside the viewport (LNES ingredient)."""
-        events: set[EventType] = set()
-        for node in self.visible_nodes():
-            events |= node.listeners
-        return events
+        return set(self.visibility().listeners)
 
     def clone(self) -> "DomTree":
-        """Independent copy of the tree (viewport is immutable and shared)."""
-        return DomTree(self.root.clone(), viewport=self.viewport, page_height=self._page_height)
+        """Independent overlay on the same shared document."""
+        copy = DomTree.__new__(DomTree)
+        copy._document = self._document
+        copy._viewport = self._viewport
+        copy._overrides = dict(self._overrides)
+        copy._summary = self._summary
+        return copy
 
-    # -- mutation ----------------------------------------------------------
+    # -- overlay mutation --------------------------------------------------
+
+    def set_display(self, node_id: str, display: str) -> None:
+        """Override the node's display in this tree only."""
+        if display == self.find(node_id).display:
+            self._overrides.pop(node_id, None)
+        else:
+            self._overrides[node_id] = display
+        self._summary = None
+
+    def toggle_display(self, node_id: str) -> None:
+        """Flip between ``block`` and ``none`` (the Fig. 7 collapsible menu)."""
+        self.set_display(node_id, "none" if self.display_of(node_id) == "block" else "block")
 
     def scroll(self, delta_y: float) -> None:
         """Scroll the viewport, clamped to the page height when known."""
-        viewport = self.viewport.scrolled(delta_y)
-        if self._page_height is not None:
-            max_scroll = max(0.0, self._page_height - viewport.height)
+        viewport = self._viewport.scrolled(delta_y)
+        if self._document.page_height is not None:
+            max_scroll = max(0.0, self._document.page_height - viewport.height)
             viewport = Viewport(viewport.width, viewport.height, min(viewport.scroll_y, max_scroll))
-        self.viewport = viewport
+        self._viewport = viewport
+        self._summary = None
 
     @property
     def page_height(self) -> float:
-        if self._page_height is not None:
-            return self._page_height
+        if self._document.page_height is not None:
+            return self._document.page_height
         return max((n.y + n.height for n in self.walk()), default=self.viewport.height)

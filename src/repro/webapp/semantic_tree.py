@@ -10,7 +10,9 @@ The DOM analyser can then *statically* derive the post-callback DOM state.
 
 :class:`SemanticTree` is that memoisation: a mapping from (node, event type)
 to a declarative :class:`CallbackEffect` describing the DOM mutation, which
-can be applied to (a copy of) the tree without running any JavaScript.
+can be applied to a tree's overlay without running any JavaScript.  Like the
+document it describes, a Semantic Tree is read-only once built, so every
+session on the document shares it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ class CallbackEffect:
     navigates: bool = False
 
     def apply(self, tree: DomTree) -> None:
-        """Apply this effect to ``tree`` in place (static re-evaluation)."""
+        """Apply this effect to ``tree``'s overlay (static re-evaluation).
+
+        Display changes go through the tree's overlay, never into the shared
+        document's nodes.
+        """
         if self.kind is EffectKind.NONE:
             return
         if self.kind is EffectKind.SCROLL_BY:
@@ -60,13 +66,16 @@ class CallbackEffect:
             tree.scroll(-tree.viewport.scroll_y)
             return
         for node_id in self.target_node_ids:
-            node = tree.find(node_id)
             if self.kind is EffectKind.TOGGLE_DISPLAY:
-                node.toggle_display()
+                tree.toggle_display(node_id)
             elif self.kind is EffectKind.SHOW:
-                node.display = "block"
+                tree.set_display(node_id, "block")
             elif self.kind is EffectKind.HIDE:
-                node.display = "none"
+                tree.set_display(node_id, "none")
+
+
+#: The shared no-op effect ``effect_of`` returns for unregistered callbacks.
+_NO_EFFECT = CallbackEffect()
 
 
 @dataclass
@@ -84,7 +93,7 @@ class SemanticTree:
         self.effects[(node_id, event_type)] = effect
 
     def effect_of(self, node_id: str, event_type: EventType) -> CallbackEffect:
-        return self.effects.get((node_id, event_type), CallbackEffect())
+        return self.effects.get((node_id, event_type), _NO_EFFECT)
 
     def has_effect(self, node_id: str, event_type: EventType) -> bool:
         return (node_id, event_type) in self.effects

@@ -15,6 +15,7 @@ The crash-tolerance contract under test:
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -209,9 +210,13 @@ class TestMidCellResume:
             return original(self, traces, scheme, *args, **kwargs)
 
         monkeypatch.setattr(simulator_module.Simulator, "run_scheme", count_replays)
-        results = ScenarioRunner(jobs=1).run(
-            mini_specs, journal=journal, shards=shards, resume=True
-        )
+        # The shard journal restores sessions, so this is a resume, not a
+        # run from scratch: no RuntimeWarning may claim otherwise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = ScenarioRunner(jobs=1).run(
+                mini_specs, journal=journal, shards=shards, resume=True
+            )
         out = tmp_path / "mini.json"
         write_results(results, out, matrix="mini")
         assert out.read_text() == uninterrupted_artefact

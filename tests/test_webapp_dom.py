@@ -63,9 +63,9 @@ class TestDomTree:
 
     def test_display_none_subtree_is_not_displayed(self):
         tree = build_tree()
-        assert not tree.find("menu-item").is_displayed
-        tree.find("menu").display = "block"
-        assert tree.find("menu-item").is_displayed
+        assert not tree.is_displayed("menu-item")
+        tree.set_display("menu", "block")
+        assert tree.is_displayed("menu-item")
 
     def test_visibility_respects_viewport(self):
         tree = build_tree()
@@ -98,22 +98,21 @@ class TestDomTree:
     def test_clickable_region_grows_when_menu_expands(self):
         tree = build_tree()
         before = tree.clickable_region_fraction()
-        tree.find("menu").display = "block"
+        tree.set_display("menu", "block")
         assert tree.clickable_region_fraction() > before
 
     def test_visible_link_fraction(self):
         tree = build_tree()
         assert tree.visible_link_fraction() == pytest.approx(0.0)
-        tree.find("menu").display = "block"
+        tree.set_display("menu", "block")
         assert tree.visible_link_fraction() > 0.0
 
     def test_toggle_display_flips(self):
         tree = build_tree()
-        menu = tree.find("menu")
-        menu.toggle_display()
-        assert menu.display == "block"
-        menu.toggle_display()
-        assert menu.display == "none"
+        tree.toggle_display("menu")
+        assert tree.display_of("menu") == "block"
+        tree.toggle_display("menu")
+        assert tree.display_of("menu") == "none"
 
     def test_find_all_predicate(self):
         tree = build_tree()

@@ -21,15 +21,15 @@ class TestCallbackEffect:
     def test_toggle_display(self, tree):
         effect = CallbackEffect(kind=EffectKind.TOGGLE_DISPLAY, target_node_ids=("menu",))
         effect.apply(tree)
-        assert tree.find("menu").display == "block"
+        assert tree.display_of("menu") == "block"
         effect.apply(tree)
-        assert tree.find("menu").display == "none"
+        assert tree.display_of("menu") == "none"
 
     def test_show_and_hide(self, tree):
         CallbackEffect(kind=EffectKind.SHOW, target_node_ids=("menu",)).apply(tree)
-        assert tree.find("menu").display == "block"
+        assert tree.display_of("menu") == "block"
         CallbackEffect(kind=EffectKind.HIDE, target_node_ids=("menu",)).apply(tree)
-        assert tree.find("menu").display == "none"
+        assert tree.display_of("menu") == "none"
 
     def test_scroll_by_moves_viewport(self, tree):
         CallbackEffect(kind=EffectKind.SCROLL_BY, scroll_delta_y=400.0).apply(tree)
@@ -44,7 +44,7 @@ class TestCallbackEffect:
         before = tree.viewport.scroll_y
         CallbackEffect().apply(tree)
         assert tree.viewport.scroll_y == before
-        assert tree.find("menu").display == "none"
+        assert tree.display_of("menu") == "none"
 
 
 class TestSemanticTree:
@@ -72,4 +72,4 @@ class TestSemanticTree:
             CallbackEffect(kind=EffectKind.TOGGLE_DISPLAY, target_node_ids=("menu",)),
         )
         semantic.effect_of("toggle", EventType.CLICK).apply(tree)
-        assert tree.find("menu").is_displayed
+        assert tree.is_displayed("menu")
