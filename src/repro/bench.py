@@ -155,7 +155,7 @@ def bench_solver(min_duration_s: float = 3.0) -> BenchResult:
     setup = SimulationSetup()
     windows = _oracle_windows(setup)
     solver = DynamicProgrammingSolver(bucket_ms=1.0)
-    for specs in windows:  # warm-up (option cache, numpy)
+    for specs in windows:  # warm-up (numpy)
         solver.solve(specs, 0.0)
 
     solves = 0
@@ -224,7 +224,7 @@ def bench_parallel(
     setup = SimulationSetup()
     serial = ParallelEvaluator(setup=setup, catalog=catalog, jobs=1)
     parallel = ParallelEvaluator(setup=setup, catalog=catalog, jobs=jobs)
-    serial.compare(list(traces)[:4], schemes)  # warm-up (option caches, numpy)
+    serial.compare(list(traces)[:4], schemes)  # warm-up (option row tables, numpy)
 
     start = time.perf_counter()
     serial_results = serial.compare(traces, schemes)

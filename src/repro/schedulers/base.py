@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.hardware.acmp import AcmpConfig, AcmpSystem
 from repro.hardware.dvfs import DvfsModel
@@ -115,31 +116,24 @@ class ConfigOption:
         object.__setattr__(self, "energy_mj", self.power_w * self.latency_ms)
 
 
-#: Memoised ``enumerate_options`` results.  Keys are
-#: ``(id(system), id(power_table), workload, pareto_only)``; each value pins
-#: the system/power-table objects so their ids cannot be recycled while the
-#: entry lives.  ``DvfsModel`` is a frozen dataclass, so workloads that
-#: repeat across events (trained estimators, replayed traces) hash to the
-#: same key and skip the full configuration sweep.
-_OPTIONS_CACHE: dict[tuple, tuple[AcmpSystem, PowerTable, tuple[ConfigOption, ...]]] = {}
-
-#: Safety valve: evict oldest entries beyond this many cached sweeps.
-_OPTIONS_CACHE_MAX = 4096
-
-
 #: Memoised throttled platforms, keyed ``(id(system), cap_mhz)``.  Each value
 #: pins the base system so its id cannot be recycled while the entry lives.
 #: Dynamic thermal throttling re-derives the same few capped systems once per
 #: event (one per curve step), so the memo keeps both the derivation and —
-#: because the returned object's id is stable — the ``_OPTIONS_CACHE`` hits
-#: of every scheduler that enumerates options on the capped platform.
+#: because the returned object's id is stable — the :data:`_OPTION_ROWS` row
+#: table of every capped platform a scheduler enumerates options on.
 _CAPPED_SYSTEMS: dict[tuple[int, int], tuple[AcmpSystem, AcmpSystem]] = {}
 
-#: Safety valve: evict oldest entries beyond this many cached derivations
-#: (same role as ``_OPTIONS_CACHE_MAX`` — long-lived services keep building
-#: fresh setups, and an evicted entry only costs a re-derivation plus cold
-#: option caches for that platform, never correctness).
-_CAPPED_SYSTEMS_MAX = 1024
+#: Per-platform option rows, keyed ``(id(system), id(power_table))``: one
+#: ``(config, effective_ghz, power_w)`` row per configuration, in
+#: ``system.configurations()`` order.  Each value pins both objects so their
+#: ids cannot be recycled while the entry lives.
+_OPTION_ROWS: dict[tuple[int, int], tuple[AcmpSystem, PowerTable, tuple[tuple, ...]]] = {}
+
+#: Safety valve for both memos: evict oldest entries beyond this many.
+#: Long-lived services keep building fresh setups, and an evicted entry only
+#: costs a re-derivation, never correctness.
+_MEMO_MAX = 1024
 
 
 def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:
@@ -149,16 +143,28 @@ def capped_system(system: AcmpSystem, cap_mhz: int) -> AcmpSystem:
     if hit is not None:
         return hit[1]
     capped = system.with_frequency_cap(cap_mhz)
-    if len(_CAPPED_SYSTEMS) >= _CAPPED_SYSTEMS_MAX:
+    if len(_CAPPED_SYSTEMS) >= _MEMO_MAX:
         _CAPPED_SYSTEMS.pop(next(iter(_CAPPED_SYSTEMS)))
     _CAPPED_SYSTEMS[key] = (system, capped)
     return capped
 
 
-def clear_enumerate_options_cache() -> None:
-    """Drop every memoised option sweep (tests / long-lived services)."""
-    _OPTIONS_CACHE.clear()
-    _CAPPED_SYSTEMS.clear()
+def _option_rows(system: AcmpSystem, power_table: PowerTable) -> tuple[tuple, ...]:
+    """The workload-independent half of the sweep, built once per platform."""
+    key = (id(system), id(power_table))
+    hit = _OPTION_ROWS.get(key)
+    if hit is not None:
+        return hit[2]
+    rows = []
+    for config in system.configurations():
+        effective_ghz = system.effective_frequency_ghz(config)
+        if effective_ghz <= 0:
+            raise ValueError(f"configuration {config} has non-positive frequency")
+        rows.append((config, effective_ghz, power_table.power_w(config)))
+    if len(_OPTION_ROWS) >= _MEMO_MAX:
+        _OPTION_ROWS.pop(next(iter(_OPTION_ROWS)))
+    _OPTION_ROWS[key] = (system, power_table, tuple(rows))
+    return _OPTION_ROWS[key][2]
 
 
 def enumerate_options(
@@ -174,7 +180,8 @@ def enumerate_options(
     With ``pareto_only`` the list is pruned to configurations that are not
     dominated (no other option is both faster and cheaper), which is the
     candidate set the optimizer branches over.  Options are returned sorted
-    by ascending latency.
+    by ascending ``(latency, energy)``, ties in configuration order, as a
+    fresh list the caller may mutate freely.
 
     ``cap_mhz`` restricts the sweep to the throttled platform
     (:func:`capped_system`): the candidate set a scheduler may pick from
@@ -184,37 +191,24 @@ def enumerate_options(
     *static* platform would produce — the bit-identity the dynamic thermal
     engines rely on.
 
-    Results are memoised per ``(system, power_table, workload, pareto_only)``
-    — keyed on the ``DvfsModel`` *value* — because traces re-use workload
-    models heavily and the sweep sits on the scheduling hot path.  A fresh
-    list is returned on every call so callers may mutate it freely.
+    Each call evaluates Eqn. 1 (the same expression as
+    :meth:`DvfsModel.latency_ms`) over the platform's memoised
+    ``(config, effective_ghz, power_w)`` rows.
     """
     if cap_mhz is not None:
         system = capped_system(system, cap_mhz)
-    key = (id(system), id(power_table), workload, pareto_only)
-    cached = _OPTIONS_CACHE.get(key)
-    if cached is not None:
-        return list(cached[2])
-
-    options = [
-        ConfigOption(
-            config=config,
-            latency_ms=workload.latency_ms(system, config),
-            power_w=power_table.power_w(config),
-        )
-        for config in system.configurations()
-    ]
-    options.sort(key=lambda o: (o.latency_ms, o.energy_mj))
+    tmem, ndep = workload.tmem_ms, workload.ndep_mcycles
+    swept = []
+    for config, effective_ghz, power_w in _option_rows(system, power_table):
+        latency_ms = tmem + ndep / effective_ghz
+        swept.append((latency_ms, power_w * latency_ms, config, power_w))
+    swept.sort(key=itemgetter(0, 1))  # stable: ties keep configuration order
     if pareto_only:
-        pruned: list[ConfigOption] = []
+        pruned = []
         best_energy = float("inf")
-        for option in options:
-            if option.energy_mj < best_energy - 1e-12:
-                pruned.append(option)
-                best_energy = option.energy_mj
-        options = pruned
-
-    if len(_OPTIONS_CACHE) >= _OPTIONS_CACHE_MAX:
-        _OPTIONS_CACHE.pop(next(iter(_OPTIONS_CACHE)))
-    _OPTIONS_CACHE[key] = (system, power_table, tuple(options))
-    return list(options)
+        for row in swept:
+            if row[1] < best_energy - 1e-12:
+                pruned.append(row)
+                best_energy = row[1]
+        swept = pruned
+    return [ConfigOption(config, latency_ms, power_w) for latency_ms, _, config, power_w in swept]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hardware.acmp import AcmpConfig
 from repro.schedulers.base import EventContext, ExecutionPlan, ReactiveScheduler
 
 
@@ -57,8 +58,6 @@ class InteractiveGovernor(ReactiveScheduler):
         else:
             target = big.max_frequency_mhz * utilisation / self.high_util_threshold
             initial_freq = big.ceil_frequency(max(target, big.min_frequency_mhz))
-
-        from repro.hardware.acmp import AcmpConfig
 
         initial = AcmpConfig(big.name, initial_freq)
         final = AcmpConfig(big.name, big.max_frequency_mhz)
