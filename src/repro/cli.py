@@ -595,6 +595,9 @@ def _evaluation_rows(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if len(set(args.schemes)) != len(args.schemes):
+        # A usage error, not a traceback from Simulator.compare.
+        raise SystemExit("evaluate: --schemes has duplicate entries")
     catalog = AppCatalog()
     generator = TraceGenerator(catalog=catalog)
     simulator = Simulator(setup=SimulationSetup(system=get_platform(args.platform)), catalog=catalog)

@@ -13,9 +13,11 @@ independent :func:`repro.utils.stable_seed`-derived draw, so device ``i``
 of fleet ``(name, seed)`` is the same device on any machine, for any
 ``--jobs`` value, in any sampling order.  Evaluation shards devices across
 :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix` workers
-and folds per-shard :class:`~repro.runtime.metrics.StreamingAggregator`
-results into population aggregates via the first-class ``merge`` op, which
-is bit-identical to a single sequential fold for any shard boundaries.
+(devices on one hardware configuration share a simulator, as every
+scenario cell does) and folds per-shard
+:class:`~repro.runtime.metrics.StreamingAggregator` results into population
+aggregates via the first-class ``merge`` op, which is bit-identical to a
+single sequential fold for any shard boundaries.
 """
 
 from repro.fleet.metrics import (

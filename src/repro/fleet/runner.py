@@ -4,7 +4,7 @@
 into one scenario cell, fans every (device × scheme × trace) job through the
 :class:`~repro.scenarios.runner.ScenarioRunner` /
 :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix` machinery
-(with setup sharing, so a 200-device fleet builds one simulator per distinct
+(which shares setups, so a 200-device fleet builds one simulator per distinct
 hardware configuration), and folds every session into per-(device, scheme)
 :class:`~repro.runtime.metrics.StreamingAggregator` shards.  Population
 aggregates are then the first-class ``merge`` of those shards in device
@@ -115,7 +115,6 @@ class FleetRunner:
             job_timeout_s=self.job_timeout_s,
             train_traces_per_app=self.train_traces_per_app,
             train_seed=self.train_seed,
-            share_setups=True,
         )
         index_by_name = {spec.name: index for index, spec in enumerate(specs)}
         device_aggregates: dict[tuple[int, str], StreamingAggregator] = {}

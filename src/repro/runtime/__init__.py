@@ -17,7 +17,6 @@ from repro.runtime.simulator import Simulator, SimulationSetup
 #: the CLI likewise defer the import until a pool is actually requested.
 _PARALLEL_EXPORTS = {
     "ParallelEvaluator",
-    "EvaluationOutcome",
     "SchemeAggregates",
     "MatrixSweep",
     "MatrixOutcome",
@@ -36,7 +35,6 @@ __all__ = [
     "OracleEngine",
     "EngineConfig",
     "ParallelEvaluator",
-    "EvaluationOutcome",
     "SchemeAggregates",
     "MatrixSweep",
     "MatrixOutcome",

@@ -2,31 +2,34 @@
 
 A full paper evaluation replays every (scheme x trace) pair, and each replay
 is independent — exactly the embarrassingly parallel shape a process pool
-exploits.  :class:`ParallelEvaluator` fans those jobs out over a
-``multiprocessing`` pool:
+exploits.  :meth:`ParallelEvaluator.evaluate_matrix` is the one replay path:
+it fans the jobs of one or more :class:`MatrixSweep` cells out over a
+``multiprocessing`` pool, and :meth:`ParallelEvaluator.compare` (hence
+:meth:`Simulator.compare` with ``jobs>1``) is a one-sweep matrix.
 
-* **Worker-local simulator reuse** — each worker process builds one
-  :class:`~repro.runtime.simulator.Simulator` in its pool initializer and
-  keeps it for its whole life, so the hardware model, the per-scheme
-  baseline schedulers, and the per-app PES schedulers are constructed once
-  per worker, not once per job.  The trained learner is shipped to each
-  worker once (via the initializer), not pickled per job.
+* **Shared simulators** — every replay goes through one
+  :class:`_MatrixWorker`, which builds a
+  :class:`~repro.runtime.simulator.Simulator` lazily per distinct setup
+  (``setup_key``, else the sweep key) and keeps it, so the hardware model,
+  the per-scheme baseline schedulers, and the per-app PES schedulers are
+  constructed once per setup, not once per job.  Pool workers get theirs
+  (with the trained learner) once, via the pool initializer; the serial
+  path and the parent-side re-runs use one of their own.
 * **Chunked work stealing** — jobs are pulled from a shared queue in small
   chunks (``imap_unordered``), so a worker that drew short sessions steals
   the next chunk instead of idling behind a worker stuck on a long one.
 * **Deterministic ordering** — every job carries its index; results are
   re-sequenced as they arrive, so the output (and every floating-point
   aggregate fold) is independent of worker count and completion order.
-* **Streaming aggregation** — per-scheme overall and per-app
+* **Streaming aggregation** — per-cell overall and per-app
   :class:`~repro.runtime.metrics.AggregateMetrics` are folded incrementally
   (in job order) as workers deliver results; with ``keep_results=False`` a
   sweep over thousands of sessions never materialises the full
   ``SessionResult`` lists.
-* **Serial fallback** — ``jobs=1`` bypasses the pool entirely and delegates
-  to :meth:`Simulator.run_scheme`, producing byte-identical output to the
-  plain serial sweep.  Because every replay is deterministic, ``jobs>1``
-  produces bit-identical ``SessionResult`` objects as well; only wall-clock
-  changes.
+* **Serial path** — when one worker would do (``jobs=1``), the pool is
+  bypassed and the jobs replay in-process in global job order.  Because
+  every replay is deterministic, any ``jobs`` value produces bit-identical
+  ``SessionResult`` objects and aggregates; only wall-clock changes.
 * **Graceful degradation** — a job that raises in a worker comes back as a
   failure payload instead of poisoning the pool; after the pool is torn
   down cleanly, failed (and, with ``job_timeout_s``, stalled) jobs are
@@ -39,13 +42,21 @@ exploits.  :class:`ParallelEvaluator` fans those jobs out over a
 Running evaluations in parallel
 -------------------------------
 
-Route any sweep through the ``jobs`` knob::
+Route a one-setup sweep through the ``jobs`` knob::
 
     simulator.compare(traces, schemes, learner=learner, jobs=4)
 
-or from the command line::
+fan several setups through one pool::
+
+    ParallelEvaluator(jobs=4).evaluate_matrix(
+        [MatrixSweep(key="exynos", setup=setup, traces=tuple(traces),
+                     schemes=("Interactive", "EBS"))]
+    )
+
+or use the command line::
 
     python -m repro evaluate --apps cnn google --schemes Interactive EBS --jobs 4
+    python -m repro scenarios run --matrix default --jobs 4
     python -m repro bench --jobs 4     # writes results/BENCH_parallel.json
 
 ``python -m repro bench`` records the serial-vs-parallel speedup (plus the
@@ -68,7 +79,6 @@ from repro.runtime.metrics import (
     FaultAggregate,
     SessionResult,
     StreamingMatrixAggregator,
-    StreamingSweepAggregator,
     ThermalAggregate,
 )
 from repro.runtime.simulator import KNOWN_SCHEMES, SimulationSetup, Simulator
@@ -77,7 +87,6 @@ from repro.utils import mp_context, pool_chunk_size, resolve_jobs
 from repro.webapp.apps import AppCatalog
 
 __all__ = [
-    "EvaluationOutcome",
     "MatrixOutcome",
     "MatrixSweep",
     "ParallelEvaluator",
@@ -131,19 +140,6 @@ class SchemeAggregates:
     faults: FaultAggregate | None = None
 
 
-@dataclass
-class EvaluationOutcome:
-    """Everything a batched sweep produces.
-
-    ``results`` preserves the :meth:`Simulator.compare` shape (scheme ->
-    sessions in trace order); it is ``None`` when the sweep ran with
-    ``keep_results=False`` and only the streamed aggregates were retained.
-    """
-
-    aggregates: dict[str, SchemeAggregates]
-    results: dict[str, list[SessionResult]] | None = None
-
-
 @dataclass(frozen=True)
 class MatrixSweep:
     """One scenario's share of a matrix evaluation.
@@ -157,8 +153,11 @@ class MatrixSweep:
     ``pes_config``) object, and workers then build one simulator per tag
     instead of one per sweep.  A fleet of thousands of devices drawn from a
     handful of platform variants pays for a handful of power tables and
-    scheduler caches, not thousands.  ``None`` (the default) keeps the
-    per-sweep-key behaviour.
+    scheduler caches, not thousands.
+    :class:`~repro.scenarios.runner.ScenarioRunner` tags every sweep it
+    builds.  An untagged sweep (``None``, for sweeps built by hand) caches
+    its simulator under its own ``key``, which therefore must not also be
+    another sweep's tag unless the two share the setup.
     """
 
     key: str
@@ -202,120 +201,84 @@ class MatrixOutcome:
     results: dict[str, dict[str, list[SessionResult]]] | None = None
 
 
-# -- worker side --------------------------------------------------------------------
+# -- worker state -------------------------------------------------------------------
 #
-# Pool workers keep one Simulator for their whole life.  The initializer runs
-# once per worker process; _run_jobs then serves every chunk the worker steals.
-
-_WORKER: _WorkerContext | None = None
-
-
-@dataclass
-class _WorkerContext:
-    simulator: Simulator
-    learner: EventSequenceLearner | None
-    pes_config: PesConfig | None
-
-
-def _init_worker(
-    setup: SimulationSetup,
-    catalog: AppCatalog,
-    learner: EventSequenceLearner | None,
-    pes_config: PesConfig | None,
-) -> None:
-    global _WORKER
-    _WORKER = _WorkerContext(
-        simulator=Simulator(setup=setup, catalog=catalog),
-        learner=learner,
-        pes_config=pes_config,
-    )
-
-
-def _run_job(job: tuple[int, str, Trace]) -> tuple[int, SessionResult | _JobFailure]:
-    """Replay one (scheme, trace) pair on the worker-local simulator.
-
-    Exceptions come back as :class:`_JobFailure` payloads rather than
-    propagating through the pool: a raising job must not poison the shared
-    ``imap`` stream the rest of the sweep is still flowing through.
-    """
-    index, scheme, trace = job
-    try:
-        assert _WORKER is not None, "worker pool was not initialised"
-        result = _WORKER.simulator.run_scheme(
-            [trace], scheme, learner=_WORKER.learner, pes_config=_WORKER.pes_config
-        )[0]
-    except Exception as exc:
-        return index, _JobFailure.from_exception(exc)
-    return index, result
-
-
-def _run_job_chunk(
-    jobs: list[tuple[int, str, Trace]]
-) -> list[tuple[int, SessionResult | _JobFailure]]:
-    """Replay a chunk of jobs as one pool task (see :func:`_chunked`)."""
-    return [_run_job(job) for job in jobs]
-
-
-_MATRIX_WORKER: _MatrixWorkerContext | None = None
+# One _MatrixWorker replays every job of a matrix run: pool workers get theirs
+# once through the initializer, and the parent uses its own for the serial path
+# and for re-running failed jobs.
 
 
 @dataclass
-class _MatrixWorkerContext:
-    """Worker-local state for matrix runs: one lazy Simulator per sweep key.
+class _MatrixWorker:
+    """Replays matrix jobs on lazily built simulators, one per setup.
 
+    ``sweeps`` maps sweep key -> ``(setup, pes_config, cache_key)``; the
+    cache key is the sweep's ``setup_key`` (else its own key), so sweeps
+    tagged as sharing a hardware configuration share one simulator.
     Simulators are built on first use, so a worker that only ever steals
-    jobs from two scenarios never pays for the other setups' power tables
-    and scheduler caches.
+    jobs from two setups never pays for the others' power tables and
+    scheduler caches.
     """
 
     catalog: AppCatalog
     learner: EventSequenceLearner | None
-    setups: dict[str, SimulationSetup]
-    pes_configs: dict[str, PesConfig | None]
-    #: Sweep key -> shared-setup tag; keys absent from the map cache their
-    #: simulator under the sweep key itself (one simulator per sweep).
-    setup_keys: dict[str, str] = field(default_factory=dict)
+    sweeps: dict[str, tuple[SimulationSetup, PesConfig | None, str]]
     simulators: dict[str, Simulator] = field(default_factory=dict)
 
-    def simulator(self, key: str) -> Simulator:
-        cache_key = self.setup_keys.get(key, key)
+    @classmethod
+    def for_sweeps(
+        cls,
+        sweeps: Sequence[MatrixSweep],
+        catalog: AppCatalog,
+        learner: EventSequenceLearner | None,
+    ) -> "_MatrixWorker":
+        entries: dict[str, tuple[SimulationSetup, PesConfig | None, str]] = {}
+        owners: dict[str, MatrixSweep] = {}
+        for sweep in sweeps:
+            cache_key = sweep.setup_key or sweep.key
+            owner = owners.setdefault(cache_key, sweep)
+            if owner.setup is not sweep.setup or owner.pes_config is not sweep.pes_config:
+                # Sharing a simulator but not the objects would silently
+                # replay one sweep on another's hardware model.
+                raise ValueError(
+                    f"matrix sweeps {owner.key!r} and {sweep.key!r} share "
+                    f"simulator key {cache_key!r} but not the same setup"
+                )
+            entries[sweep.key] = (sweep.setup, sweep.pes_config, cache_key)
+        return cls(catalog=catalog, learner=learner, sweeps=entries)
+
+    def run(self, key: str, scheme: str, trace: Trace) -> SessionResult:
+        setup, pes_config, cache_key = self.sweeps[key]
         simulator = self.simulators.get(cache_key)
         if simulator is None:
-            simulator = Simulator(setup=self.setups[key], catalog=self.catalog)
+            simulator = Simulator(setup=setup, catalog=self.catalog)
             self.simulators[cache_key] = simulator
-        return simulator
+        return simulator.run_scheme(
+            [trace], scheme, learner=self.learner, pes_config=pes_config
+        )[0]
 
 
-def _init_matrix_worker(
-    catalog: AppCatalog,
-    learner: EventSequenceLearner | None,
-    setups: dict[str, SimulationSetup],
-    pes_configs: dict[str, PesConfig | None],
-    setup_keys: dict[str, str] | None = None,
-) -> None:
+_MATRIX_WORKER: _MatrixWorker | None = None
+
+
+def _init_matrix_worker(worker: _MatrixWorker) -> None:
     global _MATRIX_WORKER
-    _MATRIX_WORKER = _MatrixWorkerContext(
-        catalog=catalog,
-        learner=learner,
-        setups=setups,
-        pes_configs=pes_configs,
-        setup_keys=setup_keys or {},
-    )
+    _MATRIX_WORKER = worker
 
 
 def _run_matrix_job(
     job: tuple[int, str, str, Trace]
 ) -> tuple[int, SessionResult | _JobFailure]:
-    """Replay one (sweep, scheme, trace) job on the worker's per-key simulator."""
+    """Replay one (sweep, scheme, trace) job on the worker-local state.
+
+    Exceptions come back as :class:`_JobFailure` payloads rather than
+    propagating through the pool: a raising job must not poison the shared
+    ``imap`` stream the rest of the matrix is still flowing through.
+    """
     index, key, scheme, trace = job
     try:
         assert _MATRIX_WORKER is not None, "matrix worker pool was not initialised"
-        result = _MATRIX_WORKER.simulator(key).run_scheme(
-            [trace],
-            scheme,
-            learner=_MATRIX_WORKER.learner,
-            pes_config=_MATRIX_WORKER.pes_configs[key],
-        )[0]
+        result = _MATRIX_WORKER.run(key, scheme, trace)
     except Exception as exc:
         return index, _JobFailure.from_exception(exc)
     return index, result
@@ -398,66 +361,20 @@ class ParallelEvaluator:
         learner: EventSequenceLearner | None = None,
         pes_config: PesConfig | None = None,
     ) -> dict[str, list[SessionResult]]:
-        """Drop-in parallel :meth:`Simulator.compare`."""
-        outcome = self.evaluate(
-            traces, schemes, learner=learner, pes_config=pes_config, keep_results=True
+        """Drop-in parallel :meth:`Simulator.compare`: a one-sweep matrix."""
+        trace_tuple = tuple(traces)
+        if not trace_tuple or not schemes:
+            return {scheme: [] for scheme in schemes}
+        sweep = MatrixSweep(
+            key="compare",
+            setup=self.setup,
+            traces=trace_tuple,
+            schemes=tuple(schemes),
+            pes_config=pes_config,
         )
+        outcome = self.evaluate_matrix([sweep], learner=learner, keep_results=True)
         assert outcome.results is not None
-        return outcome.results
-
-    def evaluate(
-        self,
-        traces: TraceSet | Sequence[Trace],
-        schemes: Sequence[str],
-        *,
-        learner: EventSequenceLearner | None = None,
-        pes_config: PesConfig | None = None,
-        keep_results: bool = True,
-    ) -> EvaluationOutcome:
-        """Replay every trace under every scheme, aggregating as results arrive."""
-        trace_list = list(traces)
-        scheme_list = list(schemes)
-        unknown = [scheme for scheme in scheme_list if scheme not in KNOWN_SCHEMES]
-        if unknown:
-            # Reject on the driver side: a bad name surfacing from a worker
-            # would otherwise drain the whole queued sweep first.
-            raise ValueError(f"unknown scheme {unknown[0]!r}")
-        if "PES" in scheme_list and learner is None:
-            raise ValueError("running PES requires a trained learner")
-        n_traces = len(trace_list)
-        n_jobs = n_traces * len(scheme_list)
-        sweeps = {scheme: StreamingSweepAggregator() for scheme in scheme_list}
-        ordered: list[SessionResult | None] = [None] * n_jobs if keep_results else []
-
-        if n_jobs == 0:
-            results = {scheme: [] for scheme in scheme_list} if keep_results else None
-            return EvaluationOutcome(aggregates={}, results=results)
-
-        workers = min(self._jobs, n_jobs)
-        if workers <= 1:
-            self._run_serial(trace_list, scheme_list, learner, pes_config, sweeps, ordered)
-        else:
-            self._run_parallel(
-                trace_list, scheme_list, learner, pes_config, sweeps, ordered, workers
-            )
-
-        aggregates = {
-            scheme: SchemeAggregates(
-                overall=sweep.finalize(),
-                per_app=sweep.finalize_per_app(),
-                thermal=sweep.overall.finalize_thermal(),
-                faults=sweep.overall.finalize_faults(),
-            )
-            for scheme, sweep in sweeps.items()
-            if sweep.overall.n_sessions
-        }
-        results: dict[str, list[SessionResult]] | None = None
-        if keep_results:
-            results = {
-                scheme: ordered[position * n_traces : (position + 1) * n_traces]  # type: ignore[misc]
-                for position, scheme in enumerate(scheme_list)
-            }
-        return EvaluationOutcome(aggregates=aggregates, results=results)
+        return outcome.results[sweep.key]
 
     def evaluate_matrix(
         self,
@@ -504,18 +421,7 @@ class ParallelEvaluator:
             raise ValueError("matrix sweep keys must be unique")
         if learner is None and any("PES" in sweep.schemes for sweep in sweep_list):
             raise ValueError("running PES requires a trained learner")
-        shared_setups: dict[str, MatrixSweep] = {}
-        for sweep in sweep_list:
-            if sweep.setup_key is None:
-                continue
-            owner = shared_setups.setdefault(sweep.setup_key, sweep)
-            if owner.setup is not sweep.setup or owner.pes_config is not sweep.pes_config:
-                # Sharing a tag but not the objects would silently replay
-                # one sweep on another's hardware model.
-                raise ValueError(
-                    f"matrix sweeps {owner.key!r} and {sweep.key!r} share "
-                    f"setup_key {sweep.setup_key!r} but not the same setup"
-                )
+        worker = _MatrixWorker.for_sweeps(sweep_list, self.catalog, learner)
 
         jobs: list[tuple[int, str, str, Trace]] = []
         sweep_end: dict[int, MatrixSweep] = {}
@@ -547,9 +453,25 @@ class ParallelEvaluator:
 
         workers = min(self._jobs, len(jobs) - len(done))
         if workers <= 1:
-            self._run_matrix_serial(sweep_list, learner, fold, done)
+            # In-process, in global job order; jobs present in ``done`` fold
+            # their known result without touching a simulator.
+            for index, key, scheme, trace in jobs:
+                result = done.get(index)
+                fold(index, worker.run(key, scheme, trace) if result is None else result)
         else:
-            self._run_matrix_parallel(sweep_list, jobs, learner, fold, workers, done)
+            todo = [job for job in jobs if job[0] not in done]
+            self._drain_pool(
+                n_jobs=len(jobs),
+                submit=lambda pool, chunk: pool.imap_unordered(
+                    _run_matrix_job_chunk, _chunked(todo, chunk)
+                ),
+                initializer=_init_matrix_worker,
+                initargs=(worker,),
+                workers=workers,
+                fold=fold,
+                rerun=lambda index: worker.run(*jobs[index][1:]),
+                prefill=done,
+            )
 
         aggregates: dict[str, dict[str, SchemeAggregates]] = {}
         for sweep in sweep_list:
@@ -568,147 +490,6 @@ class ParallelEvaluator:
                     cursor += len(sweep.traces)
                 results[sweep.key] = per_scheme_results
         return MatrixOutcome(aggregates=aggregates, results=results)
-
-    # -- execution strategies -----------------------------------------------------
-
-    def _run_serial(
-        self,
-        traces: list[Trace],
-        schemes: list[str],
-        learner: EventSequenceLearner | None,
-        pes_config: PesConfig | None,
-        sweeps: dict[str, StreamingSweepAggregator],
-        ordered: list[SessionResult | None],
-    ) -> None:
-        """The ``jobs=1`` fallback: one in-process sweep per scheme."""
-        simulator = Simulator(setup=self.setup, catalog=self.catalog)
-        for position, scheme in enumerate(schemes):
-            results = simulator.run_scheme(
-                traces, scheme, learner=learner, pes_config=pes_config
-            )
-            for offset, result in enumerate(results):
-                sweeps[scheme].add(result)
-                if ordered:
-                    ordered[position * len(traces) + offset] = result
-
-    def _run_parallel(
-        self,
-        traces: list[Trace],
-        schemes: list[str],
-        learner: EventSequenceLearner | None,
-        pes_config: PesConfig | None,
-        sweeps: dict[str, StreamingSweepAggregator],
-        ordered: list[SessionResult | None],
-        workers: int,
-    ) -> None:
-        n_traces = len(traces)
-        jobs = [
-            (position * n_traces + offset, scheme, trace)
-            for position, scheme in enumerate(schemes)
-            for offset, trace in enumerate(traces)
-        ]
-
-        def fold(index: int, result: SessionResult) -> None:
-            sweeps[schemes[index // n_traces]].add(result)
-            if ordered:
-                ordered[index] = result
-
-        # Serial re-run path for failed/stalled jobs; the simulator is built
-        # lazily so a clean run never pays for it.
-        parent_simulator: list[Simulator] = []
-
-        def rerun(index: int) -> SessionResult:
-            if not parent_simulator:
-                parent_simulator.append(Simulator(setup=self.setup, catalog=self.catalog))
-            _, scheme, trace = jobs[index]
-            return parent_simulator[0].run_scheme(
-                [trace], scheme, learner=learner, pes_config=pes_config
-            )[0]
-
-        self._drain_pool(
-            n_jobs=len(jobs),
-            submit=lambda pool, chunk: pool.imap_unordered(
-                _run_job_chunk, _chunked(jobs, chunk)
-            ),
-            initializer=_init_worker,
-            initargs=(self.setup, self.catalog, learner, pes_config),
-            workers=workers,
-            fold=fold,
-            rerun=rerun,
-        )
-
-    def _run_matrix_serial(
-        self,
-        sweeps: list[MatrixSweep],
-        learner: EventSequenceLearner | None,
-        fold: Callable[[int, SessionResult], None],
-        done: dict[int, SessionResult],
-    ) -> None:
-        """In-process matrix run: one simulator per setup, global job order.
-
-        Simulators are cached under ``setup_key`` (falling back to the sweep
-        key), so sweeps tagged as sharing a hardware configuration share one
-        simulator here exactly as pool workers do.  Jobs present in ``done``
-        fold their known result without touching a simulator.
-        """
-        simulators: dict[str, Simulator] = {}
-        position = 0
-        for sweep in sweeps:
-            cache_key = sweep.setup_key or sweep.key
-            for scheme in sweep.schemes:
-                for trace in sweep.traces:
-                    result = done.get(position)
-                    if result is None:
-                        simulator = simulators.get(cache_key)
-                        if simulator is None:
-                            simulator = Simulator(setup=sweep.setup, catalog=self.catalog)
-                            simulators[cache_key] = simulator
-                        result = simulator.run_scheme(
-                            [trace], scheme, learner=learner, pes_config=sweep.pes_config
-                        )[0]
-                    fold(position, result)
-                    position += 1
-
-    def _run_matrix_parallel(
-        self,
-        sweeps: list[MatrixSweep],
-        jobs: list[tuple[int, str, str, Trace]],
-        learner: EventSequenceLearner | None,
-        fold: Callable[[int, SessionResult], None],
-        workers: int,
-        done: dict[int, SessionResult],
-    ) -> None:
-        setups = {sweep.key: sweep.setup for sweep in sweeps}
-        pes_configs = {sweep.key: sweep.pes_config for sweep in sweeps}
-        setup_keys = {
-            sweep.key: sweep.setup_key for sweep in sweeps if sweep.setup_key is not None
-        }
-        parent_simulators: dict[str, Simulator] = {}
-
-        def rerun(index: int) -> SessionResult:
-            _, key, scheme, trace = jobs[index]
-            cache_key = setup_keys.get(key, key)
-            simulator = parent_simulators.get(cache_key)
-            if simulator is None:
-                simulator = Simulator(setup=setups[key], catalog=self.catalog)
-                parent_simulators[cache_key] = simulator
-            return simulator.run_scheme(
-                [trace], scheme, learner=learner, pes_config=pes_configs[key]
-            )[0]
-
-        todo = [job for job in jobs if job[0] not in done]
-        self._drain_pool(
-            n_jobs=len(jobs),
-            submit=lambda pool, chunk: pool.imap_unordered(
-                _run_matrix_job_chunk, _chunked(todo, chunk)
-            ),
-            initializer=_init_matrix_worker,
-            initargs=(self.catalog, learner, setups, pes_configs, setup_keys),
-            workers=workers,
-            fold=fold,
-            rerun=rerun,
-            prefill=done,
-        )
 
     # -- pool lifecycle -----------------------------------------------------------
 

@@ -201,8 +201,11 @@ class Simulator:
         ``jobs`` fans the (scheme x trace) pairs out over a process pool
         (see :mod:`repro.runtime.parallel`); every replay is deterministic,
         so any ``jobs`` value produces identical results — ``jobs=1`` simply
-        runs the sweep in-process.
+        runs the sweep in-process.  A scheme listed twice is rejected for
+        every ``jobs`` value: it would replay twice under one result key.
         """
+        if len(set(schemes)) != len(schemes):
+            raise ValueError("compare lists a scheme twice")
         if jobs != 1:
             from repro.runtime.parallel import ParallelEvaluator
 

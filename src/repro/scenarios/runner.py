@@ -124,7 +124,16 @@ class ScenarioResult:
 
 @dataclass
 class ScenarioRunner:
-    """Expands scenario specs into matrix sweeps and runs them."""
+    """Expands scenario specs into matrix sweeps and runs them.
+
+    Specs that resolve to the same hardware configuration (platform
+    variant, regime cap, thermal curve + ambient + mode, fault spec, PES
+    tuning) share one :class:`SimulationSetup` object and a ``setup_key``
+    tag, so :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`
+    builds one simulator per distinct configuration instead of one per
+    spec: the ``full`` matrix's 28 cells need 14, and a 200-device fleet
+    typically draws from a dozen.
+    """
 
     catalog: AppCatalog = field(default_factory=AppCatalog)
     jobs: int = 1
@@ -142,15 +151,6 @@ class ScenarioRunner:
     #: worker pool; below this, pool start-up (a full interpreter spawn on
     #: non-Linux platforms) costs more than generating the traces serially.
     parallel_generation_threshold: int = 16
-    #: When ``True``, specs that resolve to the same hardware configuration
-    #: (platform variant, regime cap, thermal curve + ambient + mode, fault
-    #: spec, PES tuning) share one :class:`SimulationSetup` object and a
-    #: ``setup_key`` tag, so
-    #: :meth:`~repro.runtime.parallel.ParallelEvaluator.evaluate_matrix`
-    #: workers build one simulator per distinct configuration instead of
-    #: one per spec.  The fleet layer turns this on — a 200-device
-    #: population typically draws from a dozen configurations.
-    share_setups: bool = False
     #: Trained learners keyed by the fields that define them — see
     #: :meth:`train_learner`.
     _trained: dict[tuple[int, int], EventSequenceLearner] = field(
@@ -181,42 +181,34 @@ class ScenarioRunner:
             base_seed=spec.seed,
             jobs=gen_jobs,
         )
-        setup_key: str | None = None
-        pes_config = spec.pes
-        if self.share_setups:
-            # Everything that feeds the SimulationSetup (plus the PES
-            # tuning, which rides along in the sweep), canonically
-            # serialised: two specs with equal keys get the *same* setup
-            # and pes objects (evaluate_matrix validates that identity).
-            setup_key = json.dumps(
-                {
-                    "variant": spec.platform_variant().label,
-                    "regime": spec.regime,
-                    "thermal_mode": spec.thermal_mode,
-                    "ambient_c": spec.ambient_c,
-                    "faults": spec.faults.to_dict() if spec.faults is not None else None,
-                    "pes": asdict(spec.pes) if spec.pes is not None else None,
-                },
-                sort_keys=True,
+        # Everything that feeds the SimulationSetup (plus the PES tuning,
+        # which rides along in the sweep), canonically serialised: specs
+        # with equal keys get the *same* setup and pes objects
+        # (evaluate_matrix validates that identity) and so share one
+        # simulator per worker.
+        setup_key = json.dumps(
+            {
+                "variant": spec.platform_variant().label,
+                "regime": spec.regime,
+                "thermal_mode": spec.thermal_mode,
+                "ambient_c": spec.ambient_c,
+                "faults": spec.faults.to_dict() if spec.faults is not None else None,
+                "pes": asdict(spec.pes) if spec.pes is not None else None,
+            },
+            sort_keys=True,
+        )
+        cached = self._setup_cache.get(setup_key)
+        if cached is None:
+            cached = (
+                SimulationSetup(
+                    system=spec.system(),
+                    thermal=spec.dynamic_thermal_model(),
+                    faults=spec.faults,
+                ),
+                spec.pes,
             )
-            cached = self._setup_cache.get(setup_key)
-            if cached is None:
-                cached = (
-                    SimulationSetup(
-                        system=spec.system(),
-                        thermal=spec.dynamic_thermal_model(),
-                        faults=spec.faults,
-                    ),
-                    spec.pes,
-                )
-                self._setup_cache[setup_key] = cached
-            setup, pes_config = cached
-        else:
-            setup = SimulationSetup(
-                system=spec.system(),
-                thermal=spec.dynamic_thermal_model(),
-                faults=spec.faults,
-            )
+            self._setup_cache[setup_key] = cached
+        setup, pes_config = cached
         return MatrixSweep(
             key=spec.name,
             setup=setup,

@@ -69,6 +69,12 @@ class TestEvaluateCommand:
         with pytest.raises(SystemExit):
             main(["evaluate", "--schemes", "Magic"])
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rejects_a_repeated_scheme_as_usage_error(self, jobs):
+        argv = ["evaluate", "--apps", "cnn", "--traces", "1", "--jobs", jobs]
+        with pytest.raises(SystemExit, match="duplicate"):
+            main(argv + ["--schemes", "Interactive", "EBS", "EBS"])
+
     def test_rejects_unknown_platform(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--platform", "snapdragon"])

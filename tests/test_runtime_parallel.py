@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.metrics import aggregate_results
-from repro.runtime.parallel import ParallelEvaluator, resolve_jobs
+from repro.runtime.parallel import MatrixSweep, ParallelEvaluator, resolve_jobs
 from repro.runtime.simulator import Simulator
 
 ALL_SCHEMES = ["Interactive", "Ondemand", "EBS", "PES", "Oracle"]
@@ -47,21 +47,23 @@ class TestParallelEquivalence:
 
     def test_aggregates_match_serial_fold(self, setup, catalog, eval_traces, learner, serial_results):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=3)
-        outcome = evaluator.evaluate(
-            eval_traces, ALL_SCHEMES, learner=learner, keep_results=False
+        sweep = MatrixSweep(
+            key="all", setup=setup, traces=tuple(eval_traces), schemes=tuple(ALL_SCHEMES)
         )
+        outcome = evaluator.evaluate_matrix([sweep], learner=learner, keep_results=False)
         assert outcome.results is None
         for scheme in ALL_SCHEMES:
             expected = aggregate_results(serial_results[scheme])
-            assert outcome.aggregates[scheme].overall == expected
+            assert outcome.aggregates["all"][scheme].overall == expected
 
     def test_streaming_per_app_matches_grouped_aggregation(
         self, setup, catalog, eval_traces, serial_results
     ):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2)
-        outcome = evaluator.evaluate(eval_traces, ["EBS"], keep_results=False)
+        sweep = MatrixSweep(key="ebs", setup=setup, traces=tuple(eval_traces), schemes=("EBS",))
+        outcome = evaluator.evaluate_matrix([sweep], keep_results=False)
         expected = Simulator.aggregate_per_app(serial_results["EBS"])
-        assert outcome.aggregates["EBS"].per_app == expected
+        assert outcome.aggregates["ebs"]["EBS"].per_app == expected
 
     def test_result_ordering_is_trace_order(self, setup, catalog, eval_traces):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=4, chunk_size=1)
@@ -78,9 +80,9 @@ class TestParallelEvaluatorApi:
 
     def test_empty_sweep(self, setup, catalog):
         evaluator = ParallelEvaluator(setup=setup, catalog=catalog, jobs=2)
-        outcome = evaluator.evaluate([], ["EBS"], keep_results=True)
-        assert outcome.results == {"EBS": []}
-        assert outcome.aggregates == {}
+        assert evaluator.compare([], ["EBS"]) == {"EBS": []}
+        # A trace-less sweep is an empty matrix: no cell, so no aggregates.
+        assert evaluator.evaluate_matrix([], keep_results=True).aggregates == {}
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -157,6 +159,19 @@ class TestMatrixEvaluation:
 
         with pytest.raises(ValueError, match="unique"):
             ParallelEvaluator(catalog=catalog).evaluate_matrix([sweeps[0], sweeps[0]])
+
+    def test_shared_key_without_shared_setup_rejected(self, catalog, sweeps):
+        from dataclasses import replace
+
+        from repro.runtime.parallel import ParallelEvaluator
+
+        tagged = [replace(sweep, setup_key="same") for sweep in sweeps]
+        with pytest.raises(ValueError, match="not the same setup"):
+            ParallelEvaluator(catalog=catalog).evaluate_matrix(tagged)
+        # An untagged sweep's own key is its simulator key too.
+        clash = [sweeps[0], replace(sweeps[1], setup_key=sweeps[0].key)]
+        with pytest.raises(ValueError, match="not the same setup"):
+            ParallelEvaluator(catalog=catalog).evaluate_matrix(clash)
 
     def test_pes_without_learner_rejected(self, catalog, setup, generator):
         from repro.runtime.parallel import MatrixSweep, ParallelEvaluator

@@ -46,6 +46,12 @@ class TestSimulator:
         assert set(results) == {"EBS", "PES"}
         assert all(len(v) == 1 for v in results.values())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_compare_rejects_a_repeated_scheme(self, simulator, small_trace, jobs):
+        # A repeated scheme would replay twice under one result key.
+        with pytest.raises(ValueError, match="twice"):
+            simulator.compare([small_trace], ["Interactive", "EBS", "EBS"], jobs=jobs)
+
     def test_pes_config_propagates(self, simulator, small_trace, learner):
         result = simulator.run_pes(small_trace, learner, PesConfig(confidence_threshold=1.0))
         assert result.commits == 0

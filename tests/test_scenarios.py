@@ -245,6 +245,57 @@ class TestScenarioRunner:
         assert ScenarioRunner(catalog=catalog).run([]) == []
 
 
+class TestSetupSharing:
+    """Specs on one hardware configuration share a setup object, hence one
+    simulator per worker.  Sharing must change no result: running such
+    specs together equals running each alone in a fresh runner, where
+    nothing is shared."""
+
+    @pytest.fixture(scope="class")
+    def mix_specs(self):
+        # Like the ``full`` matrix's seen/unseen cells: only the app mix
+        # differs (cnn overlaps, so its per-app PES scheduler is reused).
+        schemes = ("Interactive", "EBS", "PES")
+        return [
+            ScenarioSpec(name="mix/cnn", apps=("cnn",), schemes=schemes),
+            ScenarioSpec(name="mix/cnn_google", apps=("google", "cnn"), schemes=schemes),
+        ]
+
+    def test_specs_differing_only_in_app_mix_share_one_setup(self, catalog, mix_specs):
+        runner = ScenarioRunner(catalog=catalog)
+        first, second = (runner.build_sweep(spec) for spec in mix_specs)
+        assert first.setup_key is not None
+        assert first.setup_key == second.setup_key
+        assert first.setup is second.setup
+        assert first.pes_config is second.pes_config
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_run_matches_each_spec_alone(self, catalog, learner, mix_specs, jobs):
+        def run(specs):
+            sessions: dict = {}
+
+            def on_session(key, scheme, trace_index, result):
+                sessions[(key, scheme, trace_index)] = result
+
+            runner = ScenarioRunner(catalog=catalog, jobs=jobs)
+            results = runner.run(specs, learner=learner, on_session=on_session)
+            return [result.to_dict() for result in results], sessions
+
+        together, shared_sessions = run(mix_specs)
+        alone: list[dict] = []
+        alone_sessions: dict = {}
+        for spec in mix_specs:
+            payload, sessions = run([spec])
+            alone += payload
+            alone_sessions.update(sessions)
+        assert together == alone
+        # Per event, not just per aggregate.
+        assert shared_sessions == alone_sessions
+        assert len(shared_sessions) == sum(
+            spec.n_sessions * len(spec.schemes) for spec in mix_specs
+        )
+
+
 class TestResultArtefacts:
     def test_json_round_trip(self, tmp_path, tiny_results):
         path = write_results(tiny_results, tmp_path / "SCENARIOS_test.json", matrix="t")

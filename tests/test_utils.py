@@ -58,15 +58,41 @@ class TestMpContext:
 class TestSpawnSafety:
     """Pool initargs and job payloads must survive pickling (spawn start)."""
 
-    def test_parallel_evaluator_initargs_are_picklable(self, setup, catalog, learner):
+    def test_parallel_evaluator_initargs_are_picklable(
+        self, monkeypatch, setup, catalog, learner, generator
+    ):
         from repro.core.pes import PesConfig
+        from repro.runtime import parallel
 
-        restored_setup, restored_catalog, restored_learner, config = pickle.loads(
-            pickle.dumps((setup, catalog, learner, PesConfig()))
+        class Captured(Exception):
+            pass
+
+        captured: dict = {}
+
+        def capture(self, **kwargs):
+            captured.update(kwargs)
+            raise Captured
+
+        # Record what the pool would be started with, without starting it.
+        monkeypatch.setattr(parallel.ParallelEvaluator, "_drain_pool", capture)
+        trace = generator.generate("cnn", seed=7).slice(0, 6)
+        sweep = parallel.MatrixSweep(
+            key="k",
+            setup=setup,
+            traces=(trace, trace),
+            schemes=("PES",),
+            pes_config=PesConfig(),
         )
+        with pytest.raises(Captured):
+            parallel.ParallelEvaluator(catalog=catalog, jobs=2).evaluate_matrix(
+                [sweep], learner=learner
+            )
+        assert captured["initializer"] is parallel._init_matrix_worker
+        (worker,) = pickle.loads(pickle.dumps(captured["initargs"]))
+        restored_setup, config, _ = worker.sweeps["k"]
         assert restored_setup.system.name == setup.system.name
-        assert len(restored_catalog) == len(catalog)
-        assert restored_learner == learner
+        assert len(worker.catalog) == len(catalog)
+        assert worker.learner == learner
         assert config == PesConfig()
 
     def test_trace_job_payload_is_picklable(self, generator):
@@ -82,8 +108,6 @@ class TestSpawnSafety:
         from repro.traces import generator as trace_generator
 
         for fn in (
-            parallel._init_worker,
-            parallel._run_job,
             parallel._init_matrix_worker,
             parallel._run_matrix_job,
             trace_generator._init_generation_worker,
